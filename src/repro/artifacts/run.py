@@ -14,6 +14,12 @@ The same object doubles as the checkpoint format: the pipeline saves it
 after every completed stage (per seed during phase one), and
 :meth:`~repro.core.pipeline.LearningPipeline.resume` picks up from
 whatever the last save recorded.
+
+On disk an artifact is its canonical encoding: compact JSON with sorted
+keys, plus an ``integrity`` member holding the SHA-256 of that encoding
+without the member. :class:`ArtifactEncoder` produces it once per save
+and, during a pipeline run, re-encodes only the sections the pipeline
+reports as changed (see :meth:`RunArtifact.changed`).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import json
 import os
 import pathlib
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.artifacts.schema import (
     SCHEMA_VERSION,
@@ -113,6 +119,22 @@ class RunArtifact:
     #: part of any deterministic comparison surface.
     telemetry: Optional[Dict[str, Any]] = None
     schema_version: int = SCHEMA_VERSION
+    #: Section cache for checkpoint encoding, attached by the pipeline
+    #: for the duration of a run (see :meth:`changed`). Not serialized.
+    encoder: Optional["ArtifactEncoder"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def changed(self, *sections: str) -> None:
+        """Report that the named top-level sections were modified.
+
+        While an :class:`ArtifactEncoder` is attached, every mutation
+        of a section in :data:`CACHED_SECTIONS` must be reported here
+        before the next save, or the save would write the section's
+        previous encoding. Without an encoder this is a no-op.
+        """
+        if self.encoder is not None:
+            self.encoder.changed(*sections)
 
     # -- derived views ----------------------------------------------------
 
@@ -170,35 +192,7 @@ class RunArtifact:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "kind": "glade-run",
-            "status": self.status,
-            "stage": self.stage,
-            "seeds": [asdict(record) for record in self.seeds],
-            "config": asdict(self.config),
-            "oracle": self.oracle_spec,
-            "phase1_results": [
-                phase1_result_to_dict(r) for r in self.phase1_results
-            ],
-            "grammar": (
-                grammar_to_dict(self.grammar)
-                if self.grammar is not None
-                else None
-            ),
-            "phase2_result": (
-                phase2_result_to_dict(self.phase2_result)
-                if self.phase2_result is not None
-                else None
-            ),
-            "oracle_queries": self.oracle_queries,
-            "unique_queries": self.unique_queries,
-            "speculative_queries": self.speculative_queries,
-            "execution": dict(self.execution),
-            "phase2_progress": _copy_progress(self.phase2_progress),
-            "timings": dict(self.timings),
-            "telemetry": self.telemetry,
-        }
+        return {name: build(self) for name, build in _MEMBERS.items()}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunArtifact":
@@ -321,61 +315,217 @@ def _copy_progress(progress: Dict[str, Any]) -> Dict[str, Any]:
     return copied
 
 
-def artifact_digest(data: Dict[str, Any]) -> str:
-    """Content digest of an artifact dict (integrity key excluded).
+#: Top-level members of the artifact encoding, in :meth:`RunArtifact
+#: .to_dict` order, each with the function that builds its JSON value.
+_MEMBERS: Dict[str, Callable[[RunArtifact], Any]] = {
+    "schema_version": lambda a: a.schema_version,
+    "kind": lambda a: "glade-run",
+    "status": lambda a: a.status,
+    "stage": lambda a: a.stage,
+    "seeds": lambda a: [asdict(record) for record in a.seeds],
+    "config": lambda a: asdict(a.config),
+    "oracle": lambda a: a.oracle_spec,
+    "phase1_results": lambda a: [
+        phase1_result_to_dict(r) for r in a.phase1_results
+    ],
+    "grammar": lambda a: (
+        grammar_to_dict(a.grammar) if a.grammar is not None else None
+    ),
+    "phase2_result": lambda a: (
+        phase2_result_to_dict(a.phase2_result)
+        if a.phase2_result is not None
+        else None
+    ),
+    "oracle_queries": lambda a: a.oracle_queries,
+    "unique_queries": lambda a: a.unique_queries,
+    "speculative_queries": lambda a: a.speculative_queries,
+    "execution": lambda a: dict(a.execution),
+    "phase2_progress": lambda a: _copy_progress(a.phase2_progress),
+    "timings": lambda a: dict(a.timings),
+    "telemetry": lambda a: a.telemetry,
+}
 
-    Computed over the canonical compact JSON encoding with sorted keys,
-    so the digest is byte-stable across writers; the ``integrity`` key
-    itself is excluded to avoid self-reference. A mismatch on load
-    means the file was truncated or bit-flipped after the atomic
-    rename — the checkpoint store then falls back to the previous
-    generation rather than resuming from corrupted state.
+#: Sections an :class:`ArtifactEncoder` keeps encoded between saves:
+#: the large ones, which the pipeline changes only at a few points, and
+#: ``config``, which no run changes. ``phase2_progress`` is cached in
+#: part: its decision log is append-only, so a save encodes just the
+#: decisions added since the previous one. Every other member is small
+#: and encoded on every save.
+CACHED_SECTIONS = (
+    "config",
+    "seeds",
+    "phase1_results",
+    "grammar",
+    "phase2_result",
+    "phase2_progress",
+)
+
+#: The canonical encoding: compact, sorted keys, ASCII-only.
+canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":")
+).encode
+
+#: Member names in canonical (sorted) order, without and with the
+#: ``integrity`` member.
+_ORDER = tuple(sorted(_MEMBERS))
+_SIGNED_ORDER = tuple(sorted(_ORDER + ("integrity",)))
+
+
+class ArtifactEncoder:
+    """Canonical checkpoint payloads, one encode per save.
+
+    :meth:`encode` returns exactly ``canonical_json`` of
+    :meth:`RunArtifact.to_dict` with the ``integrity`` digest added,
+    assembled member by member. Sections in :data:`CACHED_SECTIONS`
+    keep their encoding until :meth:`changed` names them, so a save
+    costs O(what changed since the previous save) in encoding work.
     """
-    body = json.dumps(
-        {k: v for k, v in data.items() if k != "integrity"},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+
+    def __init__(self):
+        self._sections: Dict[str, str] = {}
+        #: The phase-2 decision log's entries encoded so far.
+        self._decisions: List[str] = []
+
+    def changed(self, *sections: str) -> None:
+        for name in sections:
+            if name not in CACHED_SECTIONS:
+                raise ValueError(
+                    "not a cached artifact section: {!r}".format(name)
+                )
+            self._sections.pop(name, None)
+            if name == "phase2_progress":
+                self._decisions = []
+
+    def _progress(self, progress: Dict[str, Any]) -> str:
+        decisions = progress.get("decisions")
+        if decisions is None:
+            return canonical_json(progress)
+        log = self._decisions
+        log.extend(map(canonical_json, decisions[len(log):]))
+        members = {
+            key: canonical_json(value)
+            for key, value in progress.items()
+            if key != "decisions"
+        }
+        members["decisions"] = "[" + ",".join(log) + "]"
+        names = sorted(members)
+        return _object(names, [members[name] for name in names])
+
+    def encode(self, artifact: RunArtifact) -> str:
+        cached = self._sections
+        values = []
+        for name in _ORDER:
+            if name == "phase2_progress":
+                value = self._progress(artifact.phase2_progress)
+            elif name in CACHED_SECTIONS:
+                value = cached.get(name)
+                if value is None:
+                    value = cached[name] = canonical_json(
+                        _MEMBERS[name](artifact)
+                    )
+            else:
+                value = canonical_json(_MEMBERS[name](artifact))
+            values.append(value)
+        digest = canonical_json(_sha256(_object(_ORDER, values)))
+        values.insert(_SIGNED_ORDER.index("integrity"), digest)
+        return _object(_SIGNED_ORDER, values)
+
+
+def _object(names: Sequence[str], values: Sequence[str]) -> str:
+    """Assemble encoded members into one JSON object, in the given order.
+
+    Every member name is a plain identifier, so its JSON form is the
+    name in quotes. One join copies each value once.
+    """
+    pieces = []
+    for name, value in zip(names, values):
+        pieces += (',"', name, '":', value)
+    pieces[0] = '{"'
+    pieces.append("}")
+    return "".join(pieces)
+
+
+def _sha256(body: str) -> str:
     return "sha256:" + hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-def save_artifact(
-    artifact: RunArtifact, path: Union[str, os.PathLike]
-) -> None:
-    """Write an artifact as JSON, atomically (write-temp + rename).
+def artifact_digest(data: Dict[str, Any]) -> str:
+    """Content digest of an artifact dict (integrity key excluded).
 
-    The payload embeds a content digest (``integrity`` key) that
-    :func:`load_artifact` verifies; pre-digest artifacts stay loadable.
+    Computed over the canonical encoding (:data:`canonical_json`), so
+    the digest is byte-stable across writers and independent of how
+    the file was formatted; the ``integrity`` key itself is excluded to
+    avoid self-reference. A mismatch on load means the file was
+    truncated or bit-flipped after the atomic rename — the checkpoint
+    store then falls back to the previous generation rather than
+    resuming from corrupted state.
     """
-    path = pathlib.Path(path)
-    data = artifact.to_dict()
-    data["integrity"] = artifact_digest(data)
-    payload = json.dumps(data, indent=1, sort_keys=True)
-    tmp_path = path.with_name(path.name + ".tmp")
-    tmp_path.write_text(payload)
-    os.replace(tmp_path, path)
+    return _sha256(
+        canonical_json({k: v for k, v in data.items() if k != "integrity"})
+    )
 
 
-def load_artifact(path: Union[str, os.PathLike]) -> RunArtifact:
-    """Load an artifact written by :func:`save_artifact`.
+def encode_artifact(artifact: RunArtifact) -> str:
+    """The artifact's file payload: canonical JSON with its digest.
+
+    Uses the artifact's attached :class:`ArtifactEncoder` if it has
+    one (a pipeline run), else encodes every section from scratch.
+    """
+    encoder = artifact.encoder
+    if encoder is None:
+        encoder = ArtifactEncoder()
+    return encoder.encode(artifact)
+
+
+def decode_artifact(payload: str, source: str = "artifact") -> RunArtifact:
+    """Parse and verify a payload written by :func:`encode_artifact`.
 
     Raises :class:`~repro.artifacts.schema.ArtifactCorrupt` when the
-    file's embedded content digest does not match its payload (plain
+    embedded content digest does not match the payload (plain
     :class:`~repro.artifacts.schema.ArtifactError` for undecodable
-    JSON — also a corruption signal for a file this module wrote).
+    JSON — also a corruption signal for a payload this module wrote).
+    Payloads without a digest, and any formatting of the JSON (older
+    builds wrote it indented), load as long as the digest matches.
     """
     try:
-        data = json.loads(pathlib.Path(path).read_text())
+        data = json.loads(payload)
     except json.JSONDecodeError as exc:
         raise ArtifactError(
-            "artifact {} is not valid JSON: {}".format(path, exc)
+            "{} is not valid JSON: {}".format(source, exc)
         )
     if isinstance(data, dict):
         stored = data.pop("integrity", None)
         if stored is not None and stored != artifact_digest(data):
             raise ArtifactCorrupt(
-                "artifact {} failed its integrity check (stored digest "
-                "does not match content): the file was truncated or "
-                "corrupted after writing".format(path)
+                "{} failed its integrity check (stored digest does not "
+                "match content): it was truncated or corrupted after "
+                "writing".format(source)
             )
     return RunArtifact.from_dict(data)
+
+
+def write_atomic(path: Union[str, os.PathLike], payload: str) -> None:
+    """Write ``payload`` to a temporary sibling, then rename it over
+    ``path``: readers see the old file or the new one, never a part."""
+    tmp_path = os.fspath(path) + ".tmp"
+    with open(tmp_path, "w") as handle:
+        handle.write(payload)
+    os.replace(tmp_path, path)
+
+
+def save_artifact(
+    artifact: RunArtifact, path: Union[str, os.PathLike]
+) -> None:
+    """Write an artifact's canonical payload atomically.
+
+    The payload embeds a content digest (``integrity`` key) that
+    :func:`load_artifact` verifies; pre-digest artifacts stay loadable.
+    """
+    write_atomic(path, encode_artifact(artifact))
+
+
+def load_artifact(path: Union[str, os.PathLike]) -> RunArtifact:
+    """Load and verify an artifact file (see :func:`decode_artifact`)."""
+    return decode_artifact(
+        pathlib.Path(path).read_text(), "artifact {}".format(path)
+    )

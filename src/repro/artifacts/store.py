@@ -2,11 +2,12 @@
 
 The pipeline calls :meth:`CheckpointStore.save` after every completed
 stage (per seed during phase one). A store decides what durability
-means: :class:`FileCheckpointStore` writes the JSON artifact atomically
-to disk (the CLI's ``learn --out`` / ``resume`` path);
-:class:`MemoryCheckpointStore` keeps the serialized snapshots in memory
-— every save is pushed through the full JSON encoding, so tests that
-resume from a mid-run snapshot exercise exactly what a crash-and-reload
+means: :class:`FileCheckpointStore` writes the artifact's canonical
+payload (:func:`~repro.artifacts.run.encode_artifact`) atomically to
+disk (the CLI's ``learn --out`` / ``resume`` path);
+:class:`MemoryCheckpointStore` keeps the same payloads in memory and
+loads them through the same verifying decoder, so tests that resume
+from a mid-run snapshot exercise exactly the bytes a crash-and-reload
 would; :class:`NullCheckpointStore` does nothing (the default for
 in-process :func:`~repro.core.glade.learn_grammar` calls, which then
 pay zero serialization overhead).
@@ -14,11 +15,17 @@ pay zero serialization overhead).
 
 from __future__ import annotations
 
-import json
 import os
+import shutil
 from typing import List, Optional, Union
 
-from repro.artifacts.run import RunArtifact, load_artifact, save_artifact
+from repro.artifacts.run import (
+    RunArtifact,
+    decode_artifact,
+    encode_artifact,
+    load_artifact,
+    write_atomic,
+)
 from repro.artifacts.schema import ArtifactError
 
 
@@ -44,19 +51,20 @@ class NullCheckpointStore(CheckpointStore):
 
 
 class MemoryCheckpointStore(CheckpointStore):
-    """Keep every checkpoint as a JSON string, for tests.
+    """Keep every checkpoint's payload in memory, for tests.
 
-    ``snapshots`` grows by one entry per save; ``snapshot(i)``
-    deserializes entry ``i`` into a fresh :class:`RunArtifact` —
-    resuming from it reproduces a crash that lost everything after that
-    save.
+    ``snapshots`` grows by one entry per save: the exact payload
+    :class:`FileCheckpointStore` would write, integrity digest
+    included. ``snapshot(i)`` verifies and decodes entry ``i`` into a
+    fresh :class:`RunArtifact` — resuming from it reproduces a crash
+    that lost everything after that save.
     """
 
     def __init__(self):
         self.snapshots: List[str] = []
 
     def save(self, artifact: RunArtifact) -> None:
-        self.snapshots.append(json.dumps(artifact.to_dict()))
+        self.snapshots.append(encode_artifact(artifact))
 
     def load(self) -> Optional[RunArtifact]:
         if not self.snapshots:
@@ -64,18 +72,22 @@ class MemoryCheckpointStore(CheckpointStore):
         return self.snapshot(-1)
 
     def snapshot(self, index: int) -> RunArtifact:
-        return RunArtifact.from_dict(json.loads(self.snapshots[index]))
+        return decode_artifact(
+            self.snapshots[index], "checkpoint snapshot {}".format(index)
+        )
 
 
 class FileCheckpointStore(CheckpointStore):
     """Persist checkpoints to one JSON file, atomically, with a spare.
 
-    Each save overwrites the file via write-to-temp + ``os.replace``,
-    so a crash mid-write leaves the previous checkpoint intact rather
-    than a truncated file. The save also rotates the previous
-    checkpoint to ``<path>.prev`` (the *last-good generation*): every
-    artifact embeds a content digest (see
-    :func:`~repro.artifacts.run.save_artifact`), and when the current
+    Each save first hard-links the current checkpoint to
+    ``<path>.prev`` (the *last-good generation*), then writes the new
+    payload to a temporary file and renames it over ``<path>``
+    atomically. Neither step removes ``<path>``, so it always names a
+    complete checkpoint — a crash mid-write leaves the previous one in
+    place, and a reader polling the file never finds it missing.
+    Every payload embeds a content digest (see
+    :func:`~repro.artifacts.run.encode_artifact`), and when the current
     file fails verification on load — truncated by a dying disk,
     bit-flipped, hand-edited — :meth:`load` falls back to the previous
     generation instead of refusing to resume, recording the fallback in
@@ -98,12 +110,30 @@ class FileCheckpointStore(CheckpointStore):
         return str(self.path) + ".prev"
 
     def save(self, artifact: RunArtifact) -> None:
+        payload = encode_artifact(artifact)
         if self.keep_previous and os.path.exists(self.path):
-            # The rotation is itself atomic; a crash between the two
-            # renames leaves .prev as the newest complete checkpoint,
-            # which load() then serves.
-            os.replace(self.path, self.previous_path)
-        save_artifact(artifact, self.path)
+            self._keep_as_previous()
+        write_atomic(self.path, payload)
+
+    def _keep_as_previous(self) -> None:
+        """Make ``<path>.prev`` the current checkpoint while ``<path>``
+        itself stays in place.
+
+        Unlink-then-link rather than renaming a link over the old
+        ``.prev``: a rename over an existing file makes some
+        filesystems (ext4) flush the renamed file's data first, a cost
+        ``<path>`` already paid when it was written.
+        """
+        previous = self.previous_path
+        try:
+            os.unlink(previous)
+        except FileNotFoundError:
+            pass
+        try:
+            os.link(self.path, previous)
+        except OSError:
+            # A filesystem without hard links pays for a copy instead.
+            shutil.copyfile(self.path, previous)
 
     def load(self) -> Optional[RunArtifact]:
         self.recovered_from = None
@@ -125,8 +155,9 @@ class FileCheckpointStore(CheckpointStore):
                 self.recovered_from = self.previous_path
                 return artifact
         if self.keep_previous and os.path.exists(self.previous_path):
-            # The current file vanished (crash between rotation and
-            # write): the previous generation is the newest checkpoint.
+            # The current file vanished (deleted by hand, or left by an
+            # older build that rotated before writing): the previous
+            # generation is the newest checkpoint.
             artifact = load_artifact(self.previous_path)
             self.recovered_from = self.previous_path
             return artifact

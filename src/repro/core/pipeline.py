@@ -45,17 +45,26 @@ worker count — produces a grammar byte-identical to an uninterrupted
 one, with the same accumulated query count.
 
 Query statistics accumulate across resumes: the artifact's counters are
-the base, and the current process adds on top. For ``oracle_queries``
-(the paper's cost metric, counted *including* cache hits) the
-accumulated total equals an uninterrupted run's exactly;
-``unique_queries`` may count a string once per process that queried it,
-since the membership cache does not persist across restarts.
+the base, and the current process adds on top from its one
+:class:`~repro.learning.oracle.QueryLedger` — the parent oracle stack
+counts and records into it, and shard results and committed pairs merge
+their deltas into it in task order. For ``oracle_queries`` (the paper's
+cost metric, counted *including* cache hits) the accumulated total
+equals an uninterrupted run's exactly; ``unique_queries`` may count a
+string once per process that queried it, since the membership cache
+does not persist across restarts.
+
+Checkpoints cost O(what changed): the pipeline attaches an
+:class:`~repro.artifacts.run.ArtifactEncoder` to the artifact for the
+run and reports every change to a large section at the point it makes
+it (:meth:`~repro.artifacts.run.RunArtifact.changed`), so a save
+re-encodes only those sections, and reading the query totals is O(1).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import BrokenExecutor
-from typing import Any, Dict, FrozenSet, Iterator, Optional, Sequence
+from typing import Any, Dict, Iterator, Optional, Sequence
 
 from repro.artifacts.run import (
     SEED_LEARNED,
@@ -63,6 +72,7 @@ from repro.artifacts.run import (
     SEED_SKIPPED,
     SEED_USED,
     SEED_VALIDATED,
+    ArtifactEncoder,
     RunArtifact,
     SeedRecord,
 )
@@ -84,6 +94,7 @@ from repro.learning.oracle import (
     CachingOracle,
     CountingOracle,
     Oracle,
+    QueryLedger,
     TracingOracle,
     supports_concurrency,
 )
@@ -134,6 +145,9 @@ class LearningPipeline:
         self.config = config if config is not None else GladeConfig()
         self.store = store if store is not None else NullCheckpointStore()
         self.oracle_spec = oracle_spec
+        #: The query ledger of the latest run or resume (None before
+        #: one): this process's counted and distinct queries.
+        self.ledger: Optional[QueryLedger] = None
 
     def run(
         self,
@@ -178,6 +192,15 @@ class LearningPipeline:
     # -- internals --------------------------------------------------------
 
     def _execute(self, artifact: RunArtifact) -> RunArtifact:
+        artifact.encoder = ArtifactEncoder()
+        try:
+            return self._run_stages(artifact)
+        finally:
+            # The section cache is only as good as the pipeline's change
+            # reports; once the run ends, saves encode from scratch.
+            artifact.encoder = None
+
+    def _run_stages(self, artifact: RunArtifact) -> RunArtifact:
         config = artifact.config
         # Observability: the metrics registry always runs (it is the
         # single source for the artifact's timing/tier fields); the
@@ -201,18 +224,19 @@ class LearningPipeline:
         exec_baseline = counters_with_prefix(seeded, "exec.")
         # Counter around cache: ``oracle_queries`` counts every query
         # including cache hits (the paper's metric); see core/glade.py.
-        # The tracing layer sits *inside* the cache — it observes real
-        # oracle invocations and never changes counting semantics.
+        # Both layers account into the run's one ledger. The tracing
+        # layer sits *inside* the cache — it observes real oracle
+        # invocations and never changes counting semantics.
         base_oracle: Any = self.oracle
         if tracer.enabled:
             base_oracle = TracingOracle(base_oracle, registry, tracer)
-        cached = CachingOracle(base_oracle)
-        counting = CountingOracle(cached)
+        ledger = self.ledger = QueryLedger()
+        cached = CachingOracle(base_oracle, ledger=ledger)
+        counting = CountingOracle(cached, ledger)
         base_queries = artifact.oracle_queries
         base_unique = artifact.unique_queries
         clock = StageClock(artifact.timings)
 
-        state = _RunAccounting()
         # Building the telemetry section snapshots (copies, sorts)
         # every span collected so far — O(spans). Worth it per
         # checkpoint when a real store persists the result (a killed
@@ -222,12 +246,8 @@ class LearningPipeline:
 
         def checkpoint(final: bool = False) -> None:
             artifact.timings = clock.timings()
-            artifact.oracle_queries = (
-                base_queries + counting.queries + state.queries_delta
-            )
-            artifact.unique_queries = base_unique + state.unique(
-                cached.seen_digests
-            )
+            artifact.oracle_queries = base_queries + ledger.counted
+            artifact.unique_queries = base_unique + ledger.unique
             if tracer.enabled and (persistent or final):
                 artifact.telemetry = build_telemetry(tracer, registry)
             self.store.save(artifact)
@@ -243,6 +263,7 @@ class LearningPipeline:
                         if not counting(record.text):
                             raise SeedRejected(record.text, record.source)
                         record.state = SEED_VALIDATED
+                    artifact.changed("seeds")
                     artifact.stage = "validate"
                 checkpoint()
 
@@ -251,7 +272,7 @@ class LearningPipeline:
                     "stage:phase1", cat="pipeline"
                 ) as stage_span:
                     self._run_phase1(
-                        artifact, config, cached, state, checkpoint,
+                        artifact, config, cached, ledger, checkpoint,
                         registry, tracer, stage_span.id,
                     )
                     artifact.stage = "phase1"
@@ -264,6 +285,7 @@ class LearningPipeline:
                     "stage:translate", cat="pipeline"
                 ):
                     artifact.grammar = translate_trees(trees)
+                    artifact.changed("grammar")
                     artifact.stage = "translate"
                 checkpoint()
 
@@ -274,7 +296,7 @@ class LearningPipeline:
                     if config.enable_phase2:
                         self._run_phase2(
                             artifact, config, trees, cached, counting,
-                            state, checkpoint, registry, tracer,
+                            ledger, checkpoint, registry, tracer,
                             stage_span.id,
                         )
                     artifact.stage = "phase2"
@@ -287,6 +309,7 @@ class LearningPipeline:
                     artifact.grammar = (
                         artifact.grammar.restricted_to_reachable()
                     )
+                    artifact.changed("grammar")
                     artifact.stage = "finalize"
                     artifact.status = "complete"
                 # Outside the stage block: the final save's telemetry
@@ -365,7 +388,7 @@ class LearningPipeline:
         artifact: RunArtifact,
         config: GladeConfig,
         cached: CachingOracle,
-        state: "_RunAccounting",
+        ledger: QueryLedger,
         checkpoint,
         registry: MetricsRegistry,
         tracer,
@@ -396,7 +419,7 @@ class LearningPipeline:
             observe_engine(session, tracer)
 
         def absorb_outcome(outcome: SeedResult) -> None:
-            state.absorb(artifact, outcome)
+            _absorb(artifact, ledger, outcome)
             # Worker telemetry merges in task order: metrics counters
             # (including the task's ``engine.*`` tier counters) into
             # the registry, spans under the seed's shard.
@@ -416,7 +439,7 @@ class LearningPipeline:
                 # parent's caching layer (one cache across seeds) and
                 # share the parent session (one NFA fragment cache).
                 payloads = self._settle_seeds(
-                    artifact, config, session, state, checkpoint,
+                    artifact, config, session, ledger, checkpoint,
                     oracle=cached, emit_pending=True,
                     task_session=session, tracer=tracer,
                 )
@@ -438,7 +461,7 @@ class LearningPipeline:
                     artifact.seeds[outcome.index].state = SEED_LEARNED
                     checkpoint()
                 for _ in self._settle_seeds(
-                    artifact, config, session, state, checkpoint,
+                    artifact, config, session, ledger, checkpoint,
                     oracle=None, emit_pending=False, tracer=tracer,
                 ):
                     raise AssertionError(
@@ -467,7 +490,7 @@ class LearningPipeline:
         artifact: RunArtifact,
         config: GladeConfig,
         session: MembershipSession,
-        state: "_RunAccounting",
+        ledger: QueryLedger,
         checkpoint,
         oracle,
         emit_pending: bool,
@@ -499,11 +522,11 @@ class LearningPipeline:
             if record.state == SEED_SKIPPED:
                 continue
             if record.state == SEED_USED:
-                session.remember(state.result_of(artifact, index))
+                session.remember(_regex_of(artifact, index))
                 continue
             if record.state == SEED_LEARNED:
                 if config.skip_covered_seeds and tracker.covered(index):
-                    state.discard(artifact, index)
+                    _discard(artifact, ledger, index)
                     record.state = SEED_SKIPPED
                     # The discarded speculation's spans go with it: a
                     # serial run never did this work, and the trace
@@ -520,6 +543,7 @@ class LearningPipeline:
                 continue
             if config.skip_covered_seeds and tracker.covered(index):
                 record.state = SEED_SKIPPED
+                artifact.changed("seeds")
                 checkpoint()
                 continue
             yield seed_payload(
@@ -532,8 +556,8 @@ class LearningPipeline:
         self, artifact: RunArtifact, index: int, session: MembershipSession
     ) -> None:
         artifact.seeds[index].state = SEED_USED
-        regex = _RunAccounting.result_of(artifact, index)
-        session.remember(regex)
+        artifact.changed("seeds")
+        session.remember(_regex_of(artifact, index))
 
     # -- phase 2: pair-sharded wavefront execution -------------------------
 
@@ -544,7 +568,7 @@ class LearningPipeline:
         trees,
         cached: CachingOracle,
         counting: CountingOracle,
-        state: "_RunAccounting",
+        ledger: QueryLedger,
         checkpoint,
         registry: MetricsRegistry,
         tracer,
@@ -588,6 +612,7 @@ class LearningPipeline:
             "pairs": plan.n_pairs,
             "decisions": committer.decisions,
         }
+        artifact.changed("phase2_progress")
         with executor:
             if executor.name == "serial":
                 while not committer.done:
@@ -611,7 +636,9 @@ class LearningPipeline:
                     if event.discarded:
                         artifact.speculative_queries += event.discarded
                     if event.queries:
-                        state.add_counted(event.queries, event.digests)
+                        # The pair's serial-equivalent cost, derived by
+                        # the committer from worker verdicts.
+                        ledger.merge(event.queries, event.digests)
                     if event.queries or event.discarded:
                         checkpoint()
 
@@ -640,74 +667,46 @@ class LearningPipeline:
                 )
         artifact.phase2_result = committer.finish(artifact.grammar)
         artifact.grammar = artifact.phase2_result.grammar
+        artifact.changed("phase2_result", "grammar")
 
 
-class _RunAccounting:
-    """Bookkeeping for sharded work done outside the parent oracle stack.
+def _absorb(
+    artifact: RunArtifact, ledger: QueryLedger, outcome: SeedResult
+) -> None:
+    """Record a freshly completed seed task (any backend).
 
-    Tracks, per seed completed *this process*, the phase-1 task's query
-    count and its digest set — plus the counted cost of phase-2 pairs
-    committed from worker verdicts — so the artifact's totals can (a)
-    exclude speculative work the in-order filters discard and (b) count
-    distinct strings globally across shards (union of per-shard digest
-    sets plus the parent oracle's own)."""
+    The task's queries and digests merge into the ledger under the
+    seed's index, so :func:`_discard` can take them back exactly."""
+    record = artifact.seeds[outcome.index]
+    record.queries = outcome.queries
+    record.seconds = outcome.seconds
+    ledger.merge(outcome.queries, outcome.digests, holder=outcome.index)
+    artifact.phase1_results.append(outcome.result)
+    artifact.phase1_results.sort(key=lambda r: r.seed_index)
+    artifact.changed("seeds", "phase1_results")
 
-    def __init__(self):
-        self.queries_delta = 0
-        self._digests: Dict[int, FrozenSet[int]] = {}
-        self._counted_digests: set = set()
 
-    def absorb(self, artifact: RunArtifact, outcome: SeedResult) -> None:
-        """Record a freshly completed seed task (any backend)."""
-        record = artifact.seeds[outcome.index]
-        record.queries = outcome.queries
-        record.seconds = outcome.seconds
-        self.queries_delta += outcome.queries
-        self._digests[outcome.index] = outcome.digests
-        artifact.phase1_results.append(outcome.result)
-        artifact.phase1_results.sort(key=lambda r: r.seed_index)
+def _discard(artifact: RunArtifact, ledger: QueryLedger, index: int) -> None:
+    """Drop a speculative result the covered-seed rule rejected.
 
-    def discard(self, artifact: RunArtifact, index: int) -> None:
-        """Drop a speculative result the covered-seed rule rejected.
+    The queries it spent move to ``speculative_queries``; withdrawing
+    them is correct whether the seed was learned this process (the
+    ledger merged them) or a prior one (the artifact's base totals
+    include them)."""
+    record = artifact.seeds[index]
+    ledger.withdraw(index, record.queries)
+    artifact.speculative_queries += record.queries
+    record.queries = 0
+    artifact.phase1_results = [
+        r for r in artifact.phase1_results if r.seed_index != index
+    ]
+    artifact.changed("seeds", "phase1_results")
 
-        The queries it spent move to ``speculative_queries``; the
-        subtraction is correct whether the seed was learned this
-        process (``queries_delta`` included it) or a prior one (the
-        artifact's base totals included it)."""
-        record = artifact.seeds[index]
-        self.queries_delta -= record.queries
-        artifact.speculative_queries += record.queries
-        record.queries = 0
-        self._digests.pop(index, None)
-        artifact.phase1_results = [
-            r for r in artifact.phase1_results if r.seed_index != index
-        ]
 
-    def add_counted(self, queries: int, digests: Sequence[int]) -> None:
-        """Absorb a committed phase-2 pair's counted cost.
-
-        Worker-evaluated pairs never touch the parent oracle stack, so
-        their serial-equivalent cost — derived by the committer from
-        the pair's verdicts — is added here: ``queries`` to the counted
-        total, ``digests`` (the counted check prefix) to the distinct
-        -string union. Discarded speculation never reaches this method.
-        """
-        self.queries_delta += queries
-        self._counted_digests.update(digests)
-
-    def unique(self, parent_digests: FrozenSet[int]) -> int:
-        """Distinct strings queried this process, across all shards."""
-        union = set(parent_digests)
-        union.update(self._counted_digests)
-        for digests in self._digests.values():
-            union.update(digests)
-        return len(union)
-
-    @staticmethod
-    def result_of(artifact: RunArtifact, index: int):
-        for result in artifact.phase1_results:
-            if result.seed_index == index:
-                return result.root.to_regex()
-        raise AssertionError(
-            "no phase-1 result recorded for seed {}".format(index)
-        )
+def _regex_of(artifact: RunArtifact, index: int):
+    for result in artifact.phase1_results:
+        if result.seed_index == index:
+            return result.root.to_regex()
+    raise AssertionError(
+        "no phase-1 result recorded for seed {}".format(index)
+    )

@@ -16,8 +16,9 @@ on any worker, in any order, with a merge that is deterministic in
   the seed ran first on the main thread or last in a worker process;
 - task payloads and results are picklable: the result carries the
   generalization tree in the artifact's JSON encoding, the seed's query
-  count, the deterministic digests of its distinct query strings (for
-  global unique-query accounting, see
+  count, the deterministic digests of its distinct query strings in
+  first-query order (merged into the run's
+  :class:`~repro.learning.oracle.QueryLedger`, see
   :func:`~repro.learning.oracle.text_digest`), and worker wall-clock;
 - :func:`run_pending` drives a batch through an executor, yielding
   decoded results in completion order; callers checkpoint each one and
@@ -31,7 +32,7 @@ speculative learning work happens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, Sequence
+from typing import Any, Dict, Iterator, Sequence, Tuple
 
 from repro.core.chargen import generalize_characters
 from repro.core.gtree import seed_block_allocator
@@ -42,6 +43,7 @@ from repro.learning.oracle import (
     CachingOracle,
     CountingOracle,
     Oracle,
+    QueryLedger,
     TracingOracle,
 )
 from repro.learning.resilience import add_fault_counters
@@ -75,7 +77,7 @@ class SeedResult:
     index: int
     result: Phase1Result
     queries: int
-    digests: FrozenSet[int]
+    digests: Tuple[int, ...]
     seconds: float
     tiers: Dict[str, int]
     #: The task's wire telemetry: ``{"metrics": <registry snapshot>,
@@ -98,12 +100,12 @@ def seed_payload(
     for workers (each pickled copy builds its own cache); the serial
     path instead passes its process-local :class:`CachingOracle` with
     ``shared_cache=True``, so the task skips its own cache layer — one
-    memo across all seeds, no double caching — and returns no digest
-    set (the parent cache's is a superset). ``session`` optionally
-    shares one in-process membership session across tasks — only the
-    serial path does this (sessions are neither thread-safe nor worth
-    pickling), recovering the cross-seed NFA fragment reuse of the
-    pre-sharding sequential loop. Results are identical with or
+    memo across all seeds, no double caching — and returns no digests
+    (the parent cache records them in the parent's ledger). ``session``
+    optionally shares one in-process membership session across tasks —
+    only the serial path does this (sessions are neither thread-safe
+    nor worth pickling), recovering the cross-seed NFA fragment reuse
+    of the pre-sharding sequential loop. Results are identical with or
     without either sharing knob.
     """
     return {
@@ -138,14 +140,14 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     if payload.get("shared_cache"):
         # The payload oracle already is a (shared) caching layer — on
         # the serial path its stack carries the parent's tracing layer.
-        cached = None
         counting = CountingOracle(payload["oracle"])
     else:
         base = payload["oracle"]
         if tracer.enabled:
             base = TracingOracle(base, registry, tracer)
-        cached = CachingOracle(base)
-        counting = CountingOracle(cached)
+        # One ledger per task: the count and the distinct strings.
+        ledger = QueryLedger()
+        counting = CountingOracle(CachingOracle(base, ledger=ledger), ledger)
     shared_session = payload.get("session")
     session = shared_session
     if session is None:
@@ -185,7 +187,9 @@ def run_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         "index": index,
         "result": phase1_result_to_dict(result),
         "queries": counting.queries,
-        "digests": tuple(cached.seen_digests) if cached is not None else (),
+        # Empty on the shared-cache path: there the counting layer's
+        # private ledger sees no strings.
+        "digests": counting.ledger.digests(),
         "telemetry": {
             "metrics": registry.snapshot(),
             "spans": tracer.snapshot(),
@@ -220,7 +224,7 @@ def decode_task(raw: Dict[str, Any]) -> SeedResult:
         index=raw["index"],
         result=phase1_result_from_dict(raw["result"]),
         queries=raw["queries"],
-        digests=frozenset(raw["digests"]),
+        digests=tuple(raw["digests"]),
         seconds=histogram_total(metrics, "seed.seconds"),
         tiers=counters_with_prefix(metrics, "engine."),
         telemetry=telemetry,

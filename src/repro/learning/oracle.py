@@ -24,7 +24,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 Oracle = Callable[[str], bool]
 
@@ -135,23 +135,110 @@ class DeadlineOracle:
         return query_many(self._oracle, texts)
 
 
-class CountingOracle:
-    """Wrap an oracle and count queries (the paper's main cost metric)."""
+class QueryLedger:
+    """The one owner of query accounting: counted and distinct queries.
 
-    def __init__(self, oracle: Oracle):
+    ``counted`` is the paper's cost metric — every query, cache hits
+    included. Distinct strings are kept as their :func:`text_digest`
+    in an insertion-ordered table, so ``unique`` is an O(1) read and
+    shard deltas merge in task order.
+
+    Each digest carries the number of contributions holding it. A
+    contribution merged under a ``holder`` key — a speculative phase-1
+    seed the §6.1 filter may still discard — can be withdrawn exactly:
+    its digests lose one hold each, and only those no other
+    contribution holds leave the table. All other contributions are
+    permanent.
+
+    ``digests_touched`` counts digest insertions and removals. It is a
+    deterministic work counter: linear in the digests recorded and
+    merged, independent of how often the totals are read.
+    """
+
+    def __init__(self):
+        self.counted = 0
+        self.digests_touched = 0
+        self._holds: Dict[int, int] = {}
+        self._held: Dict[Hashable, Tuple[int, ...]] = {}
+
+    @property
+    def unique(self) -> int:
+        """Number of distinct strings held."""
+        return len(self._holds)
+
+    def digests(self) -> Tuple[int, ...]:
+        """Every held digest, in first-recorded order."""
+        return tuple(self._holds)
+
+    def record(self, digest: int) -> None:
+        """Hold one string an oracle answered (a permanent holding)."""
+        holds = self._holds
+        holds[digest] = holds.get(digest, 0) + 1
+        self.digests_touched += 1
+
+    def merge(
+        self,
+        queries: int,
+        digests: Sequence[int],
+        holder: Optional[Hashable] = None,
+    ) -> None:
+        """Absorb a shard's counted queries and distinct digests.
+
+        With a ``holder`` the contribution stays withdrawable via
+        :meth:`withdraw`; ``digests`` must then be duplicate-free.
+        """
+        self.counted += queries
+        holds = self._holds
+        for digest in digests:
+            holds[digest] = holds.get(digest, 0) + 1
+        self.digests_touched += len(digests)
+        if holder is not None:
+            self._held[holder] = tuple(digests)
+
+    def withdraw(self, holder: Hashable, queries: int) -> None:
+        """Take back ``queries`` and the digests merged under ``holder``.
+
+        A holder this ledger never saw (work merged by an earlier
+        process) only gives back its queries.
+        """
+        self.counted -= queries
+        digests = self._held.pop(holder, ())
+        holds = self._holds
+        for digest in digests:
+            left = holds[digest] - 1
+            if left:
+                holds[digest] = left
+            else:
+                del holds[digest]
+        self.digests_touched += len(digests)
+
+
+class CountingOracle:
+    """Wrap an oracle and count queries (the paper's main cost metric).
+
+    Counts land in ``ledger`` (a private one unless shared), so a
+    caching layer below can keep its distinct strings in the same
+    ledger.
+    """
+
+    def __init__(self, oracle: Oracle, ledger: Optional[QueryLedger] = None):
         self._oracle = oracle
-        self.queries = 0
+        self.ledger = ledger if ledger is not None else QueryLedger()
+
+    @property
+    def queries(self) -> int:
+        return self.ledger.counted
 
     @property
     def concurrent(self) -> bool:
         return supports_concurrency(self._oracle)
 
     def __call__(self, text: str) -> bool:
-        self.queries += 1
+        self.ledger.counted += 1
         return self._oracle(text)
 
     def query_many(self, texts: Sequence[str]) -> List[bool]:
-        self.queries += len(texts)
+        self.ledger.counted += len(texts)
         return query_many(self._oracle, texts)
 
 
@@ -201,29 +288,31 @@ class CachingOracle:
     GLADE's candidate enumeration re-derives the same check strings many
     times (e.g. the ε check of every star candidate); caching keeps the
     *distinct*-query count equal to what the algorithm fundamentally
-    needs. ``unique_queries`` reports that count: the number of distinct
-    strings ever forwarded to the wrapped oracle. A separate seen-set
-    keeps the count exact even when ``max_size`` bounds the result
-    cache (results for overflow strings are recomputed, but a string is
-    never counted twice).
+    needs. Every string forwarded to the wrapped oracle is recorded by
+    digest in ``ledger`` (a private one unless shared), and
+    ``unique_queries`` reports the ledger's distinct count. Digests,
+    not strings, are what the ledger keeps, so the count stays exact
+    and memory-bounded even when ``max_size`` bounds the result cache
+    (results for overflow strings are recomputed, but a string is never
+    counted twice), and digest sets can be merged across worker
+    processes (see :func:`text_digest`).
     """
 
-    def __init__(self, oracle: Oracle, max_size: Optional[int] = None):
+    def __init__(
+        self,
+        oracle: Oracle,
+        max_size: Optional[int] = None,
+        ledger: Optional[QueryLedger] = None,
+    ):
         self._oracle = oracle
         self._cache: Dict[str, bool] = {}
-        # Distinct strings are tracked by deterministic digest, not by
-        # value, so a bounded cache stays memory-bounded per distinct
-        # string (O(1) instead of retaining every evicted string), and
-        # the sets can be unioned across worker processes for global
-        # unique-query accounting (see :func:`text_digest`).
-        self._seen: Set[int] = set()
         self._max_size = max_size
-        self.unique_queries = 0
+        self.ledger = ledger if ledger is not None else QueryLedger()
 
     @property
-    def seen_digests(self) -> FrozenSet[int]:
-        """Digests of every distinct string forwarded to the oracle."""
-        return frozenset(self._seen)
+    def unique_queries(self) -> int:
+        """Distinct strings held by the ledger."""
+        return self.ledger.unique
 
     def known_results(self) -> Dict[str, bool]:
         """A snapshot of every cached (string, verdict) pair.
@@ -240,10 +329,7 @@ class CachingOracle:
         return supports_concurrency(self._oracle)
 
     def _record(self, text: str, result: bool) -> None:
-        fingerprint = text_digest(text)
-        if fingerprint not in self._seen:
-            self._seen.add(fingerprint)
-            self.unique_queries += 1
+        self.ledger.record(text_digest(text))
         if self._max_size is None or len(self._cache) < self._max_size:
             self._cache[text] = result
 

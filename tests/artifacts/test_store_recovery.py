@@ -15,7 +15,6 @@ from repro.artifacts import RunArtifact
 from repro.artifacts.run import (
     artifact_digest,
     load_artifact,
-    save_artifact,
 )
 from repro.artifacts.schema import ArtifactCorrupt, ArtifactError
 from repro.artifacts.store import FileCheckpointStore

@@ -5,17 +5,14 @@ language: the dense table must answer exactly like the engine's
 composed NFA and like the from-scratch Thompson construction, on random
 regex ASTs and random strings — including strings with characters the
 byte-compressed table cannot map, where the contract is a None verdict
-(caller falls back). The scalar and numpy batch paths are checked
-against each other, and tables must survive pickling (process-backend
-task payloads).
+(caller falls back). Batches must answer like single matches, and
+tables must survive pickling (process-backend task payloads).
 """
 
 import pickle
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.automata import dense
 from repro.automata.dense import DenseDFA, build_classmap, lower_automaton
 from repro.languages import regex as rx
 from repro.languages.engine import Engine, _lower_fragment
@@ -114,27 +111,6 @@ class TestAgreement:
         assert table.match_many(texts) == [
             table.match(text) for text in texts
         ]
-
-
-@pytest.mark.skipif(dense._np is None, reason="numpy not installed")
-class TestNumpyPath:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        expr=regex_trees(),
-        texts=st.lists(probes, min_size=0, max_size=12),
-    )
-    def test_numpy_equals_scalar(self, expr, texts):
-        table = lower_regex(expr)
-        scalar = [table.match(text) for text in texts]
-        assert table._match_many_numpy(texts) == scalar
-
-    def test_threshold_routes_to_numpy(self, monkeypatch):
-        table = lower_regex(rx.star(rx.Lit("ab")))
-        texts = ["ab" * n for n in range(6)] + ["aba", "", "☃"]
-        scalar = table.match_many(texts)  # threshold None: scalar path
-        monkeypatch.setattr(dense, "NUMPY_BATCH_THRESHOLD", 1)
-        table._np_table = None  # force a rebuild under the new route
-        assert table.match_many(texts) == scalar
 
 
 class TestLowering:
