@@ -56,6 +56,7 @@ from repro.obs.export import build_telemetry
 from repro.obs.metrics import MetricsRegistry, Stopwatch
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.fuzzing.grammar_fuzzer import GrammarFuzzer
+from repro.languages.earley import items_created
 from repro.programs import (
     SUBJECT_NAMES,
     Subject,
@@ -313,12 +314,15 @@ def derive_subject_metrics(
     name: str,
     artifact: RunArtifact,
     params: Optional[SuiteParams] = None,
+    tracer: Any = NULL_TRACER,
 ) -> Tuple[SubjectMetrics, SubjectPerf]:
     """Measure one subject every way the figures do, from its artifact.
 
     No oracle-learning queries are issued here — the artifact is the
     learned state; the subject's ``accepts`` runs only as the ground
     truth for precision/validity, exactly as §8's evaluation does.
+    Each step runs in its own ``tracer`` span: precision, recall, fuzz
+    (seed parsing included), coverage and the sample search.
     """
     if params is None:
         params = SuiteParams()
@@ -328,46 +332,52 @@ def derive_subject_metrics(
 
     view = GrammarView(grammar)
     # Fig 4: precision from fixed-seed grammar samples...
-    precision = estimate_precision(
-        view,
-        subject.accepts,
-        n_samples=params.eval_samples,
-        seed=stable_seed("precision", name, params.rng_seed),
-    )
+    with tracer.span("derive.precision", cat="suite"):
+        precision = estimate_precision(
+            view,
+            subject.accepts,
+            n_samples=params.eval_samples,
+            seed=stable_seed("precision", name, params.rng_seed),
+        )
     # ...and exact recall on the committed corpus (no sampling).
-    corpus = eval_corpus(name)
-    recall = sum(
-        1 for text in corpus if view.contains(text)
-    ) / max(1, len(corpus))
+    with tracer.span("derive.recall", cat="suite"):
+        corpus = eval_corpus(name)
+        recall = sum(
+            1 for text in corpus if view.contains(text)
+        ) / max(1, len(corpus))
 
     # Fig 7: fuzzing yield — validity rate and incremental coverage.
     fuzz_seeds = artifact.seeds_used() + artifact.seeds_skipped()
-    fuzzer = GrammarFuzzer(
-        grammar,
-        fuzz_seeds,
-        random.Random(stable_seed("fuzz", name, params.rng_seed)),
-    )
-    samples = fuzzer.generate(params.fuzz_samples)
-    valid_fraction = sum(
-        1 for verdict in accepts_many(subject.accepts, samples) if verdict
-    ) / max(1, len(samples))
-    coverable = set()
-    for module in subject.modules:
-        coverable |= coverable_lines(module)
-    seed_lines = measure_coverage(subject, subject.seeds)
-    covered = measure_coverage(subject, samples)
-    report = CoverageReport(coverable, seed_lines, covered | seed_lines)
-    fuzz_new_lines = len(report.incremental_lines())
+    with tracer.span("derive.fuzz", cat="suite"):
+        fuzzer = GrammarFuzzer(
+            grammar,
+            fuzz_seeds,
+            random.Random(stable_seed("fuzz", name, params.rng_seed)),
+        )
+        samples = fuzzer.generate(params.fuzz_samples)
+        valid_fraction = sum(
+            1 for verdict in accepts_many(subject.accepts, samples)
+            if verdict
+        ) / max(1, len(samples))
+    with tracer.span("derive.coverage", cat="suite"):
+        coverable = set()
+        for module in subject.modules:
+            coverable |= coverable_lines(module)
+        seed_lines = measure_coverage(subject, subject.seeds)
+        covered = measure_coverage(subject, samples)
+        report = CoverageReport(coverable, seed_lines, covered | seed_lines)
+        fuzz_new_lines = len(report.incremental_lines())
 
     # Fig 8: a large valid sample exists.
-    sample, sample_valid, _tried = search_valid_sample(
-        grammar,
-        fuzz_seeds,
-        subject.accepts,
-        n_candidates=params.sample_candidates,
-        seed=stable_seed("sample", name, params.rng_seed),
-        min_length=params.sample_min_length,
-    )
+    with tracer.span("derive.sample", cat="suite"):
+        sample, sample_valid, _tried = search_valid_sample(
+            grammar,
+            fuzz_seeds,
+            subject.accepts,
+            n_candidates=params.sample_candidates,
+            seed=stable_seed("sample", name, params.rng_seed),
+            min_length=params.sample_min_length,
+        )
 
     metrics = SubjectMetrics(
         grammar_digest=hashlib.sha256(
@@ -550,9 +560,17 @@ def run_suite(
         environment=environment_record(),
     )
     for name in names:
+        grammar = artifacts[name].require_grammar()
+        items_before = items_created(grammar)
         with tracer.span("subject:" + name, cat="suite"):
             metrics, perf = derive_subject_metrics(
-                name, artifacts[name], params
+                name, artifacts[name], params, tracer=tracer
+            )
+        if tracer.enabled:
+            # Deterministic Earley work of this subject's metrics.
+            registry.add(
+                "languages.earley.items",
+                items_created(grammar) - items_before,
             )
         suite.metrics[name] = metrics
         suite.perf[name] = perf

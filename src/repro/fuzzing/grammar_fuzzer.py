@@ -111,15 +111,46 @@ class GrammarFuzzer:
 def _splice(
     tree: ParseTree, target: ParseTree, replacement: ParseTree
 ) -> ParseTree:
-    """Return a copy of ``tree`` with ``target`` (by identity) replaced."""
+    """Return ``tree`` with ``target`` (by identity) replaced, or ``tree``
+    itself when ``target`` is not one of its nodes.
+
+    Only the nodes on the path from the root to ``target`` are copied;
+    every other subtree is shared with ``tree``, which stays unchanged.
+    The search keeps its own stack, so it works at any tree depth.
+    """
     if tree is target:
         return replacement
-    children = []
-    for child in tree.children:
-        if isinstance(child, ParseTree):
-            children.append(_splice(child, target, replacement))
-        else:
-            children.append(child)
-    return ParseTree(
-        symbol=tree.symbol, production=tree.production, children=children
-    )
+    # ``ancestors[i]`` is the node whose children the search walks at
+    # depth ``i``; ``positions[i]`` the index of the child taken there.
+    ancestors = [tree]
+    positions = [-1]
+    while ancestors:
+        children = ancestors[-1].children
+        index = positions[-1] + 1
+        while index < len(children) and not isinstance(
+            children[index], ParseTree
+        ):
+            index += 1
+        if index == len(children):
+            ancestors.pop()
+            positions.pop()
+            continue
+        positions[-1] = index
+        child = children[index]
+        if child is not target:
+            ancestors.append(child)
+            positions.append(-1)
+            continue
+        spliced = replacement
+        for ancestor, position in zip(
+            reversed(ancestors), reversed(positions)
+        ):
+            copied = list(ancestor.children)
+            copied[position] = spliced
+            spliced = ParseTree(
+                symbol=ancestor.symbol,
+                production=ancestor.production,
+                children=copied,
+            )
+        return spliced
+    return tree

@@ -214,13 +214,16 @@ def _render_symbol(symbol: Symbol) -> str:
     return "'" + _render_literal(symbol) + "'"
 
 
-@dataclass
+@dataclass(slots=True)
 class ParseTree:
     """A parse tree over a :class:`Grammar`.
 
     Children are either nested :class:`ParseTree` nodes (for nonterminal
     symbols) or plain strings (for terminals, with a CharSet symbol
     contributing the single character that was matched or sampled).
+
+    The walks below use an explicit stack, so a tree as deep as a long
+    left-recursive seed's is not bounded by the recursion limit.
     """
 
     symbol: Nonterminal
@@ -230,19 +233,25 @@ class ParseTree:
     def text(self) -> str:
         """Return the terminal string this tree derives."""
         parts = []
-        for child in self.children:
-            if isinstance(child, ParseTree):
-                parts.append(child.text())
+        stack: List[Union["ParseTree", str]] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ParseTree):
+                stack.extend(reversed(node.children))
             else:
-                parts.append(child)
+                parts.append(node)
         return "".join(parts)
 
     def nodes(self) -> List["ParseTree"]:
         """Return all nonterminal nodes in the tree, pre-order."""
-        out = [self]
-        for child in self.children:
-            if isinstance(child, ParseTree):
-                out.extend(child.nodes())
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            for child in reversed(node.children):
+                if isinstance(child, ParseTree):
+                    stack.append(child)
         return out
 
     def size(self) -> int:

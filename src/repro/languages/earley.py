@@ -1,4 +1,4 @@
-"""Earley parsing for :class:`repro.languages.cfg.Grammar`.
+"""Earley recognition and parsing for :class:`repro.languages.cfg.Grammar`.
 
 Two entry points:
 
@@ -7,226 +7,640 @@ Two entry points:
 - :func:`parse` — build a :class:`~repro.languages.cfg.ParseTree` (used by
   the grammar-based fuzzer of §8.3, which mutates seed-input parse trees).
 
-The implementation handles ε-productions via the Aycock–Horspool fix
-(predicting a nullable nonterminal immediately advances the predicting
-item) and supports multi-character literal terminals by letting the scan
-step jump ``len(literal)`` positions at once.
+Each grammar is compiled once, on first use, into integer-state automata
+(:class:`_Compiled`, cached per ``Grammar`` instance). A nonterminal that
+is entered on its own — the start symbol, a call target, or a symbol
+whose spans the tree builder asks for — gets one automaton:
+
+- direct left recursion ``X → X α | β`` becomes the loop ``β α*`` (the
+  shape of GLADE's star productions, see ``core/translate.py``), and
+  direct tail recursion ``X → α X | β`` the loop ``α* β``;
+- every other nonterminal reference is inlined Thompson-style. It stays a
+  *call* of the callee's own automaton only when it closes a cycle on the
+  current inline stack, or when the entry's state budget is spent.
+
+Recognition is Earley over ``(state, origin)`` items. The items of one
+origin form an ε-closed state set, interned as a lazily built DFA state,
+so a character costs one cached transition per live origin. Calls go
+through per-(position, callee) waiting lists, and a nullable callee is
+stepped over when it is predicted (the Aycock–Horspool fix). Only the
+live item sets and the waiting lists are kept, never a per-position
+chart. Where the only recursion is direct left or tail recursion — the
+regular parts of a grammar — the work per character is constant, so
+recognition is linear in the input length.
+
+:func:`parse` recognizes first, then reconstructs one tree with a fixed
+policy: productions in grammar order, each body left to right, the spans
+of a nonterminal tried longest first, with a guard against cyclic
+derivations and a memo of failed body suffixes. It runs on an explicit
+stack, so tree depth is not bounded by the interpreter's recursion
+limit, and it takes the spans of a nonterminal (every ``e`` with
+``X ⇒* text[s:e]``) from ``X``'s automaton run from ``s``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+import threading
+import weakref
+from bisect import bisect_left, bisect_right
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.languages.cfg import (
     CharSet,
     Grammar,
     Nonterminal,
     ParseTree,
-    
-    Symbol,
+    Production,
 )
 
-# An Earley item: (production index, dot position, origin position).
-Item = Tuple[int, int, int]
+#: States one entry automaton may grow to before further nonterminal
+#: references stay calls; bounds compile work on grammars whose inlined
+#: expansion would be exponential.
+STATE_BUDGET = 2000
+
+# How a production recurses on its own head (see ``_Compiled._shapes``).
+_LEFT, _TAIL = "left", "tail"
+
+_COMPILED: "weakref.WeakKeyDictionary[Grammar, _Compiled]" = (
+    weakref.WeakKeyDictionary()
+)
+#: Guards the cache and every compiled grammar's lazily grown tables.
+_LOCK = threading.Lock()
 
 
-class _Chart:
-    """Earley chart: one item set per input position, plus completions.
-
-    ``completed[(head, start)]`` collects every end position at which a
-    constituent ``head`` spanning from ``start`` was completed; the parse
-    reconstruction walks these spans.
-    """
-
-    def __init__(self, n_positions: int):
-        self.sets: List[Set[Item]] = [set() for _ in range(n_positions)]
-        self.completed: Dict[Tuple[Nonterminal, int], Set[int]] = {}
-
-    def add(self, position: int, item: Item) -> bool:
-        """Add ``item`` at ``position``; return True if it is new."""
-        items = self.sets[position]
-        if item in items:
-            return False
-        items.add(item)
-        return True
-
-
-def _run_earley(grammar: Grammar, text: str) -> Optional[_Chart]:
-    """Run the Earley recognizer; return the chart, or None on failure.
-
-    Failure here means an early exhausted item set, in which case the
-    string is definitely not in the language.
-    """
-    productions = grammar.productions
-    prods_by_head: Dict[Nonterminal, List[int]] = {}
-    for index, prod in enumerate(productions):
-        prods_by_head.setdefault(prod.head, []).append(index)
-    nullable = grammar.nullable_nonterminals()
-
-    n = len(text)
-    chart = _Chart(n + 1)
-    worklists: List[List[Item]] = [[] for _ in range(n + 1)]
-
-    def add(position: int, item: Item) -> None:
-        if chart.add(position, item):
-            worklists[position].append(item)
-
-    for prod_index in prods_by_head.get(grammar.start, ()):
-        add(0, (prod_index, 0, 0))
-
-    for position in range(n + 1):
-        worklist = worklists[position]
-        while worklist:
-            prod_index, dot, origin = worklist.pop()
-            production = productions[prod_index]
-            body = production.body
-            if dot == len(body):
-                # Completion: advance every item waiting on this head.
-                head = production.head
-                chart.completed.setdefault((head, origin), set()).add(
-                    position
-                )
-                for w_index, w_dot, w_origin in list(chart.sets[origin]):
-                    w_body = productions[w_index].body
-                    if (
-                        w_dot < len(w_body)
-                        and w_body[w_dot] == head
-                    ):
-                        add(position, (w_index, w_dot + 1, w_origin))
-                continue
-            symbol = body[dot]
-            if isinstance(symbol, Nonterminal):
-                # Prediction (+ Aycock–Horspool nullable advance).
-                for p_index in prods_by_head.get(symbol, ()):
-                    add(position, (p_index, 0, position))
-                if symbol in nullable:
-                    add(position, (prod_index, dot + 1, origin))
-                # If this nonterminal was already completed from here
-                # (possible when items arrive after the completion), catch up.
-                for end in chart.completed.get((symbol, position), ()):
-                    add(end, (prod_index, dot + 1, origin))
-            elif isinstance(symbol, CharSet):
-                if position < n and text[position] in symbol.chars:
-                    add(position + 1, (prod_index, dot + 1, origin))
-            else:  # literal string
-                end = position + len(symbol)
-                if text.startswith(symbol, position) and end <= n:
-                    add(end, (prod_index, dot + 1, origin))
-    return chart
+def _compiled(grammar: Grammar) -> "_Compiled":
+    found = _COMPILED.get(grammar)
+    if found is None:
+        found = _COMPILED[grammar] = _Compiled(grammar)
+    return found
 
 
 def recognize(grammar: Grammar, text: str) -> bool:
     """Return True if ``text`` is in the language of ``grammar``."""
-    chart = _run_earley(grammar, text)
-    if chart is None:
-        return False
-    ends = chart.completed.get((grammar.start, 0), ())
-    return len(text) in ends
+    with _LOCK:
+        compiled = _compiled(grammar)
+        ends, _reached = compiled.run(compiled.start, text, 0, len(text))
+    return bool(ends) and ends[-1] == len(text)
 
 
 def parse(grammar: Grammar, text: str) -> Optional[ParseTree]:
     """Parse ``text``; return one parse tree, or None if not in L(grammar).
 
-    For ambiguous grammars an arbitrary (deterministically chosen) parse
-    is returned.
+    For ambiguous grammars one parse is chosen deterministically; see the
+    module docstring for the policy.
     """
-    chart = _run_earley(grammar, text)
-    if chart is None:
-        return None
-    ends = chart.completed.get((grammar.start, 0), ())
-    if len(text) not in ends:
-        return None
-    builder = _TreeBuilder(grammar, text, chart)
-    tree = builder.build_nonterminal(grammar.start, 0, len(text))
-    if tree is None:
-        raise AssertionError("recognized string failed tree reconstruction")
-    return tree
+    with _LOCK:
+        return _TreeBuilder(_compiled(grammar), text).build()
+
+
+def items_created(grammar: Grammar) -> int:
+    """Earley items created so far by :func:`recognize` and :func:`parse`
+    on this grammar instance — a deterministic work counter.
+
+    One item is one ``(state, origin)`` pair live at one input position.
+    """
+    with _LOCK:
+        found = _COMPILED.get(grammar)
+    return found.items if found is not None else 0
+
+
+class _State:
+    """One NFA state's edges: ε-successors, ``(character set,
+    successor)`` pairs and ``(callee, return state)`` calls."""
+
+    __slots__ = ("eps", "chars", "calls")
+
+    def __init__(self):
+        self.eps: List[int] = []
+        self.chars: List[Tuple[FrozenSet[str], int]] = []
+        self.calls: List[Tuple[int, int]] = []
+
+
+class _ItemSet:
+    """A DFA state: the ε-closed NFA states of the items of one origin.
+
+    ``step`` caches the successor set per character, ``grown`` the set
+    with one more state added; ``calls`` and ``finals`` are the call
+    edges and completed entry automata in the set. Built whole before
+    it is published, so an interrupted call leaves no partial state.
+    """
+
+    __slots__ = ("states", "step", "grown", "calls", "finals", "active")
+
+    def __init__(self, states, calls, finals):
+        self.states: FrozenSet[int] = states
+        self.step: Dict[str, "_ItemSet"] = {}
+        self.grown: Dict[int, "_ItemSet"] = {}
+        self.calls: FrozenSet[Tuple[int, int]] = calls
+        self.finals: FrozenSet[int] = finals
+        #: Whether the position needs a prediction/completion pass.
+        self.active = bool(calls or finals)
+
+
+class _Compiled:
+    """The automata of one grammar, plus the lazily built DFA over them.
+
+    NFA states are indices into ``_states`` (see :class:`_State`).
+    Nonterminals are numbered in grammar order. Nothing here refers back
+    to the ``Grammar`` object, so the weak cache entry dies with the
+    grammar.
+    """
+
+    def __init__(self, grammar: Grammar):
+        self.items = 0
+        self.nonterminals: List[Nonterminal] = []
+        self.ids: Dict[Nonterminal, int] = {}
+        #: Per nonterminal id: ``(production index, production)`` pairs
+        #: in grammar order.
+        self.productions: List[List[Tuple[int, Production]]] = []
+        for index, production in enumerate(grammar.productions):
+            head = self._id(production.head)
+            self.productions[head].append((index, production))
+            for symbol in production.body:
+                if isinstance(symbol, Nonterminal):
+                    self._id(symbol)
+        self.start = self._id(grammar.start)
+        #: Bound on a body position, for packing the parser's memo keys.
+        self.dots = 1 + max(
+            (len(production.body) for production in grammar.productions),
+            default=0,
+        )
+        self._nullable = frozenset(
+            self.ids[nt] for nt in grammar.nullable_nonterminals()
+        )
+        self._states: List[_State] = []
+        #: Nonterminal id -> (entry state, final state) of its automaton.
+        self._entries: Dict[int, Tuple[int, int]] = {}
+        self._final_of: Dict[int, int] = {}
+        self._shape_cache: Dict[int, List[Tuple[tuple, Optional[str]]]] = {}
+        self._item_sets: Dict[FrozenSet[int], _ItemSet] = {}
+        self.empty = self._intern(frozenset())
+
+    def _id(self, nonterminal: Nonterminal) -> int:
+        found = self.ids.get(nonterminal)
+        if found is None:
+            found = self.ids[nonterminal] = len(self.nonterminals)
+            self.nonterminals.append(nonterminal)
+            self.productions.append([])
+        return found
+
+    # -- compilation -------------------------------------------------------
+
+    def _new_state(self) -> int:
+        self._states.append(_State())
+        return len(self._states) - 1
+
+    def entry(self, nonterminal: int) -> int:
+        """Entry state of ``nonterminal``'s automaton, compiling it (and
+        every automaton it calls) on first use."""
+        found = self._entries.get(nonterminal)
+        if found is not None:
+            return found[0]
+        pending = [nonterminal]
+        while pending:
+            head = pending.pop()
+            if head in self._entries:
+                continue
+            for callee in self._compile(head):
+                if callee not in self._entries:
+                    pending.append(callee)
+        return self._entries[nonterminal][0]
+
+    def _compile(self, head: int) -> List[int]:
+        """Build ``head``'s automaton; return the nonterminals it calls."""
+        entry, final = self._new_state(), self._new_state()
+        self._final_of[final] = head
+        budget = len(self._states) + STATE_BUDGET
+        callees: List[int] = []
+        # Each task inlines one nonterminal between two states; ``stack``
+        # holds the nonterminals being inlined around it.
+        tasks = [(head, entry, final, frozenset((head,)))]
+        while tasks:
+            symbol, begin, end, stack = tasks.pop()
+            for span, loop in self._shapes(symbol):
+                source, target = {
+                    _LEFT: (end, end), _TAIL: (begin, begin),
+                }.get(loop, (begin, end))
+                if not span:
+                    if source != target:
+                        self._states[source].eps.append(target)
+                    continue
+                state = source
+                for position, item in enumerate(span):
+                    last = position == len(span) - 1
+                    after = target if last else self._new_state()
+                    if isinstance(item, CharSet):
+                        self._states[state].chars.append((item.chars, after))
+                    elif isinstance(item, str):
+                        for offset, char in enumerate(item):
+                            step = (
+                                after if offset == len(item) - 1
+                                else self._new_state()
+                            )
+                            self._states[state].chars.append(
+                                (frozenset(char), step)
+                            )
+                            state = step
+                    else:
+                        callee = self.ids[item]
+                        if callee in stack or len(self._states) >= budget:
+                            self._states[state].calls.append((callee, after))
+                            callees.append(callee)
+                        else:
+                            # Loops need states of their own; without
+                            # them the callee can share its neighbours'.
+                            loops = self._loops(callee)
+                            inner_begin = inner_end = None
+                            if _TAIL in loops:
+                                inner_begin = self._new_state()
+                                self._states[state].eps.append(inner_begin)
+                            if _LEFT in loops:
+                                inner_end = self._new_state()
+                                self._states[inner_end].eps.append(after)
+                            tasks.append((
+                                callee,
+                                state if inner_begin is None else inner_begin,
+                                after if inner_end is None else inner_end,
+                                stack | {callee},
+                            ))
+                    state = after
+        self._entries[head] = (entry, final)
+        return callees
+
+    def _shapes(self, head: int) -> List[Tuple[tuple, Optional[str]]]:
+        """``head``'s productions as ``(span, loop)``: ``X -> X α`` is
+        ``(α, _LEFT)``, ``X -> α X`` is ``(α, _TAIL)``, any other body
+        ``(body, None)``."""
+        shapes = self._shape_cache.get(head)
+        if shapes is None:
+            shapes = []
+            for _index, production in self.productions[head]:
+                body = production.body
+                if body and body[0] == self.nonterminals[head]:
+                    shapes.append((body[1:], _LEFT))
+                elif body and body[-1] == self.nonterminals[head]:
+                    shapes.append((body[:-1], _TAIL))
+                else:
+                    shapes.append((body, None))
+            self._shape_cache[head] = shapes
+        return shapes
+
+    def _loops(self, head: int) -> Set[str]:
+        return {loop for span, loop in self._shapes(head) if span and loop}
+
+    # -- the DFA over item sets --------------------------------------------
+
+    def _closure(self, seeds) -> FrozenSet[int]:
+        """ε-closure, stepping over calls of nullable nonterminals."""
+        closed: Set[int] = set(seeds)
+        work = list(seeds)
+        while work:
+            state = work.pop()
+            successors = list(self._states[state].eps)
+            for callee, back in self._states[state].calls:
+                if callee in self._nullable:
+                    successors.append(back)
+            for successor in successors:
+                if successor not in closed:
+                    closed.add(successor)
+                    work.append(successor)
+        return frozenset(closed)
+
+    def _intern(self, closed: FrozenSet[int]) -> _ItemSet:
+        found = self._item_sets.get(closed)
+        if found is None:
+            calls = frozenset(
+                pair for state in closed for pair in self._states[state].calls
+            )
+            finals = frozenset(
+                self._final_of[state] for state in closed
+                if state in self._final_of
+            )
+            found = self._item_sets[closed] = _ItemSet(closed, calls, finals)
+        return found
+
+    def _add(self, items: _ItemSet, state: int) -> _ItemSet:
+        """``items`` plus ``state`` (and its closure)."""
+        found = items.grown.get(state)
+        if found is None:
+            found = self._intern(items.states | self._closure((state,)))
+            items.grown[state] = found
+        return found
+
+    def _advance(self, items: _ItemSet, char: str) -> _ItemSet:
+        targets = [
+            target
+            for state in items.states
+            for chars, target in self._states[state].chars
+            if char in chars
+        ]
+        found = self._intern(self._closure(targets))
+        items.step[char] = found
+        return found
+
+    # -- Earley over (state, origin) items ---------------------------------
+
+    def run(
+        self, root: int, text: str, origin: int, stop: int
+    ) -> Tuple[List[int], int]:
+        """Run ``root``'s automaton on ``text`` from ``origin`` up to
+        position ``stop``.
+
+        Returns ``(ends, reached)``: ``ends`` lists, ascending, every
+        ``e <= stop`` with ``root ⇒* text[origin:e]``; ``reached`` is the
+        last position the run got to. When it is short of ``stop`` the
+        run died there, so no longer end exists either.
+        """
+        empty = self.empty
+        # origin -> item set of the items with that origin.
+        current: Dict[int, _ItemSet] = {
+            origin: self._add(empty, self.entry(root))
+        }
+        waiting: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+        ends: List[int] = []
+        items = 0
+        position = origin
+        while True:
+            if any(group.active for group in current.values()):
+                self._complete(position, current, waiting)
+            group = current.get(origin)
+            if group is not None and root in group.finals:
+                ends.append(position)
+            for group in current.values():
+                items += len(group.states)
+            if position == stop:
+                break
+            char = text[position]
+            following: Dict[int, _ItemSet] = {}
+            for start, group in current.items():
+                target = group.step.get(char)
+                if target is None:
+                    target = self._advance(group, char)
+                if target is not empty:
+                    following[start] = target
+            if not following:
+                break
+            current = following
+            position += 1
+        self.items += items
+        return ends, position
+
+    def _complete(self, position, current, waiting) -> None:
+        """Predict the callees of every call and resume the callers of
+        every completed callee at ``position``, to a fixed point."""
+        add, empty = self._add, self.empty
+        done: Dict[int, _ItemSet] = {}
+        agenda = list(current)
+        while agenda:
+            start = agenda.pop()
+            group = current[start]
+            before = done.get(start, empty)
+            if group is before:
+                continue
+            done[start] = group
+            for callee, back in sorted(group.calls - before.calls):
+                key = (position, callee)
+                callers = waiting.get(key)
+                if callers is None:
+                    waiting[key] = [(back, start)]
+                    predicted = current.get(position, empty)
+                    grown = add(predicted, self.entry(callee))
+                    if grown is not predicted:
+                        current[position] = grown
+                        agenda.append(position)
+                else:
+                    callers.append((back, start))
+            if start == position:
+                # A callee completing where it started derived ε; its
+                # callers were advanced when it was predicted.
+                continue
+            for callee in sorted(group.finals - before.finals):
+                for back, caller in waiting.get((start, callee), ()):
+                    resumed = current.get(caller, empty)
+                    grown = add(resumed, back)
+                    if grown is not resumed:
+                        current[caller] = grown
+                        agenda.append(caller)
+
+
+#: A nonterminal's spans are memoized per parse only when computing them
+#: ran over at least this many characters; shorter runs are cheaper to
+#: repeat than to keep.
+SPAN_MEMO_MIN = 8
+
+# Where a body frame resumes once the frame it pushed has returned.
+_ENTER, _AFTER_TERMINAL, _AFTER_REST, _AFTER_CHILD = range(4)
+
+
+class _NonterminalFrame:
+    """``build_nonterminal(head, start, end)``; ``index`` is the
+    production being tried (-1 before the first)."""
+
+    __slots__ = ("head", "start", "end", "index")
+
+    def __init__(self, head: int, start: int, end: int):
+        self.head = head
+        self.start = start
+        self.end = end
+        self.index = -1
+
+
+class _BodyFrame:
+    """``build_body(production, dot, start, end)``. For a nonterminal at
+    ``dot``, ``mid`` walks down its ``spans`` (the end being tried) and
+    ``rest`` holds the children already built after it."""
+
+    __slots__ = (
+        "prod_index", "body", "dot", "start", "end", "resume",
+        "spans", "mid", "rest",
+    )
+
+    def __init__(self, prod_index, body, dot: int, start: int, end: int):
+        self.prod_index = prod_index
+        self.body = body
+        self.dot = dot
+        self.start = start
+        self.end = end
+        self.resume = _ENTER
+
+
+def _building(stack: list, head: int, start: int, end: int) -> bool:
+    """Whether ``head`` over ``text[start:end]`` is already being built.
+
+    Spans nest, so every frame between such an ancestor and the top of
+    the stack covers the same span: the walk stops at the first
+    nonterminal frame over a different one.
+    """
+    for frame in reversed(stack):
+        if type(frame) is not _NonterminalFrame or frame.index < 0:
+            continue
+        if frame.start != start or frame.end != end:
+            return False
+        if frame.head == head:
+            return True
+    return False
 
 
 class _TreeBuilder:
-    """Reconstruct a parse tree from a completed Earley chart.
+    """Reconstruct one parse tree of a recognized string.
 
-    Works by recursive descent over completed spans with memoized
-    failures, which keeps reconstruction near-linear for the grammars we
-    synthesize (their ambiguity is mild).
+    ``build_nonterminal(head, start, end)`` tries ``head``'s productions
+    in grammar order. ``build_body(production, dot, start, end)`` derives
+    ``text[start:end]`` from ``body[dot:]``: for a nonterminal it tries
+    the spans longest first, building the rest of the body before the
+    child. Failed body suffixes are memoized, and a nonterminal span
+    already being built is refused, which breaks cyclic (unit or ε)
+    derivations. Both procedures run as frames on one explicit stack.
+
+    Deep parses are kept small: memo keys are packed into ints, a failure
+    decided without trying any child is not memoized (repeating it gives
+    the same answer), and the spans being built are read off the stack.
     """
 
-    def __init__(self, grammar: Grammar, text: str, chart: _Chart):
-        self.grammar = grammar
+    def __init__(self, compiled: _Compiled, text: str):
+        self.compiled = compiled
         self.text = text
-        self.chart = chart
-        self._failed: Set[Tuple[int, int, int, int]] = set()
-        self._building: Set[Tuple[Nonterminal, int, int]] = set()
+        self.width = len(text) + 1
+        #: ``head * width + start`` -> ``(bound, end, end, ...)``: every
+        #: span end up to ``bound``, ascending, from index 1 on.
+        self._spans: Dict[int, Tuple[int, ...]] = {}
+        self._failed: Set[int] = set()
 
-    def build_nonterminal(
-        self, head: Nonterminal, start: int, end: int
-    ) -> Optional[ParseTree]:
-        ends = self.chart.completed.get((head, start), ())
-        if end not in ends:
+    def spans(self, head: int, start: int, bound: int) -> Tuple[int, ...]:
+        key = head * self.width + start
+        found = self._spans.get(key)
+        if found is None or found[0] < bound:
+            ends, reached = self.compiled.run(head, self.text, start, bound)
+            found = (bound if reached == bound else len(self.text),) + tuple(
+                ends
+            )
+            if reached - start >= SPAN_MEMO_MIN:
+                self._spans[key] = found
+        return found
+
+    def build(self) -> Optional[ParseTree]:
+        compiled, size = self.compiled, len(self.text)
+        ends, _reached = compiled.run(compiled.start, self.text, 0, size)
+        if not ends or ends[-1] != size:
             return None
-        key = (head, start, end)
-        if key in self._building:
-            # Cyclic derivation (e.g. A -> A via unit productions on an
-            # empty span); refuse this path and let another production win.
-            return None
-        self._building.add(key)
-        try:
-            for prod_index, production in enumerate(
-                self.grammar.productions
-            ):
-                if production.head != head:
-                    continue
-                children = self._build_body(
-                    prod_index, production.body, 0, start, end
-                )
-                if children is not None:
-                    return ParseTree(
-                        symbol=head,
-                        production=production,
-                        children=children,
+        self._spans[compiled.start * self.width] = (size,) + tuple(ends)
+        tree = self._run(_NonterminalFrame(compiled.start, 0, size))
+        if tree is None:
+            raise AssertionError(
+                "recognized string failed tree reconstruction"
+            )
+        return tree
+
+    def _failed_key(self, frame: _BodyFrame) -> int:
+        key = frame.prod_index * self.compiled.dots + frame.dot
+        return (key * self.width + frame.start) * self.width + frame.end
+
+    def _run(self, root: _NonterminalFrame) -> Optional[ParseTree]:
+        compiled, text, width = self.compiled, self.text, self.width
+        productions = compiled.productions
+        failed = self._failed
+        stack: list = [root]
+        #: What the frame popped last returned: a tree, a child list or None.
+        result = None
+        while stack:
+            frame = stack[-1]
+            if type(frame) is _NonterminalFrame:
+                head, start, end = frame.head, frame.start, frame.end
+                options = productions[head]
+                if frame.index < 0:
+                    spans = self.spans(head, start, end)
+                    found = bisect_right(spans, end, 1) - 1
+                    if (
+                        found < 1 or spans[found] != end
+                        or _building(stack, head, start, end)
+                    ):
+                        result = None
+                        stack.pop()
+                        continue
+                elif result is not None:
+                    result = ParseTree(
+                        symbol=compiled.nonterminals[head],
+                        production=options[frame.index][1],
+                        children=result,
                     )
-            return None
-        finally:
-            self._building.discard(key)
-
-    def _build_body(
-        self,
-        prod_index: int,
-        body: Tuple[Symbol, ...],
-        dot: int,
-        start: int,
-        end: int,
-    ) -> Optional[List]:
-        """Try to derive ``text[start:end]`` from ``body[dot:]``."""
-        key = (prod_index, dot, start, end)
-        if key in self._failed:
-            return None
-        if dot == len(body):
-            return [] if start == end else None
-        symbol = body[dot]
-        if isinstance(symbol, CharSet):
-            if start < end and self.text[start] in symbol.chars:
-                rest = self._build_body(
-                    prod_index, body, dot + 1, start + 1, end
-                )
-                if rest is not None:
-                    return [self.text[start]] + rest
-        elif isinstance(symbol, str):
-            mid = start + len(symbol)
-            if mid <= end and self.text.startswith(symbol, start):
-                rest = self._build_body(prod_index, body, dot + 1, mid, end)
-                if rest is not None:
-                    return [symbol] + rest
-        else:  # Nonterminal
-            spans = self.chart.completed.get((symbol, start), ())
-            # Prefer longer spans first: learned grammars are
-            # repetition-heavy and this converges faster.
-            for mid in sorted((m for m in spans if m <= end), reverse=True):
-                rest = self._build_body(prod_index, body, dot + 1, mid, end)
-                if rest is None:
+                    stack.pop()
                     continue
-                child = self.build_nonterminal(symbol, start, mid)
-                if child is not None:
-                    return [child] + rest
-        self._failed.add(key)
-        return None
+                frame.index += 1
+                if frame.index == len(options):
+                    result = None
+                    stack.pop()
+                    continue
+                prod_index, production = options[frame.index]
+                stack.append(
+                    _BodyFrame(prod_index, production.body, 0, start, end)
+                )
+                continue
+
+            body, dot = frame.body, frame.dot
+            start, end = frame.start, frame.end
+            if frame.resume == _ENTER:
+                if self._failed_key(frame) in failed:
+                    result = None
+                    stack.pop()
+                    continue
+                if dot == len(body):
+                    result = [] if start == end else None
+                    stack.pop()
+                    continue
+                symbol = body[dot]
+                if isinstance(symbol, Nonterminal):
+                    frame.spans = self.spans(compiled.ids[symbol], start, end)
+                    frame.mid = end + 1
+                else:
+                    if isinstance(symbol, CharSet):
+                        matched = start < end and text[start] in symbol.chars
+                        mid = start + 1
+                    else:
+                        mid = start + len(symbol)
+                        matched = mid <= end and text.startswith(symbol, start)
+                    if matched:
+                        frame.resume = _AFTER_TERMINAL
+                        stack.append(_BodyFrame(
+                            frame.prod_index, body, dot + 1, mid, end
+                        ))
+                    else:
+                        result = None
+                        stack.pop()
+                    continue
+            elif frame.resume == _AFTER_TERMINAL:
+                if result is not None:
+                    symbol = body[dot]
+                    if isinstance(symbol, CharSet):
+                        symbol = text[start]
+                    result = [symbol] + result
+                else:
+                    failed.add(self._failed_key(frame))
+                stack.pop()
+                continue
+            elif frame.resume == _AFTER_REST:
+                if result is not None:
+                    frame.rest = result
+                    frame.resume = _AFTER_CHILD
+                    stack.append(_NonterminalFrame(
+                        compiled.ids[body[dot]], start, frame.mid
+                    ))
+                    continue
+            elif result is not None:  # _AFTER_CHILD
+                result = [result] + frame.rest
+                stack.pop()
+                continue
+            # Try the next shorter span of the nonterminal at ``dot``.
+            frame.rest = None
+            index = bisect_left(frame.spans, frame.mid, 1) - 1
+            if index < 1:
+                if frame.resume != _ENTER:
+                    failed.add(self._failed_key(frame))
+                result = None
+                stack.pop()
+                continue
+            frame.mid = frame.spans[index]
+            frame.resume = _AFTER_REST
+            stack.append(
+                _BodyFrame(frame.prod_index, body, dot + 1, frame.mid, end)
+            )
+        return result

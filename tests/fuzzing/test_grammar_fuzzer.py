@@ -115,3 +115,86 @@ class TestFromArtifact:
         first = GrammarFuzzer.from_artifact(path, rng=random.Random(9))
         second = GrammarFuzzer.from_artifact(path, rng=random.Random(9))
         assert first.generate(10) == second.generate(10)
+
+
+class TestDeepTrees:
+    """A long left-recursive seed parses into a tree as deep as the seed;
+    every walk over it must work under the default recursion limit."""
+
+    DEPTH = 20000
+
+    def left_deep_tree(self):
+        from repro.languages.cfg import ParseTree
+
+        recurse = Production(S, (S, "a"))
+        base = Production(S, ())
+        tree = ParseTree(symbol=S, production=base, children=[])
+        chain = [tree]
+        for _ in range(self.DEPTH - 1):
+            tree = ParseTree(
+                symbol=S, production=recurse, children=[tree, "a"]
+            )
+            chain.append(tree)
+        chain.reverse()  # root first
+        return tree, chain
+
+    def test_walks_round_trip(self):
+        import sys
+
+        assert sys.getrecursionlimit() < self.DEPTH
+        tree, chain = self.left_deep_tree()
+        assert tree.text() == "a" * (self.DEPTH - 1)
+        nodes = tree.nodes()
+        assert len(nodes) == self.DEPTH == tree.size()
+        assert all(got is want for got, want in zip(nodes, chain))
+
+    def test_splice_at_the_bottom(self):
+        from repro.fuzzing.grammar_fuzzer import _splice
+        from repro.languages.cfg import ParseTree
+
+        tree, chain = self.left_deep_tree()
+        replacement = ParseTree(
+            symbol=S, production=Production(S, ("b",)), children=["b"]
+        )
+        spliced = _splice(tree, chain[-1], replacement)
+        assert spliced.text() == "b" + "a" * (self.DEPTH - 1)
+        assert spliced.size() == self.DEPTH
+        # The original is untouched.
+        assert tree.text() == "a" * (self.DEPTH - 1)
+        assert _splice(tree, tree, replacement) is replacement
+
+    def test_splice_matches_a_full_copy(self):
+        from repro.fuzzing.grammar_fuzzer import _splice
+        from repro.languages.cfg import ParseTree
+        from repro.languages.sampler import GrammarSampler
+
+        def full_copy_splice(node, target, replacement):
+            if node is target:
+                return replacement
+            return ParseTree(
+                symbol=node.symbol,
+                production=node.production,
+                children=[
+                    full_copy_splice(child, target, replacement)
+                    if isinstance(child, ParseTree) else child
+                    for child in node.children
+                ],
+            )
+
+        sampler = GrammarSampler(paren_grammar(), rng=random.Random(4))
+        for _ in range(30):
+            tree = sampler.sample_tree()
+            for target in tree.nodes():
+                replacement = sampler.sample_tree()
+                assert _splice(tree, target, replacement) == (
+                    full_copy_splice(tree, target, replacement)
+                )
+
+    def test_fuzzer_on_a_long_seed(self):
+        grammar = Grammar(
+            S, [Production(S, ()), Production(S, (S, "a"))]
+        )
+        fuzzer = GrammarFuzzer(grammar, ["a" * self.DEPTH], random.Random(6))
+        assert fuzzer.seed_trees[0].size() == self.DEPTH + 1
+        for text in fuzzer.generate(3):
+            assert set(text) <= {"a"}

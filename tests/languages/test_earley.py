@@ -154,3 +154,49 @@ class TestAgainstRegexEngine:
         expr = star(Lit("ab"))
         for probe in ["", "ab", "abab", "aba", "ba", "ababab"]:
             assert recognize(grammar, probe) == expr.matches(probe), probe
+
+
+def ambiguous_star_grammar() -> Grammar:
+    """GLADE's star shape, maximally ambiguous: ``R → ε | R A``,
+    ``A → B C`` with ``B`` and ``C`` stars over overlapping classes."""
+    r, a, b, c = (Nonterminal(name) for name in "RABC")
+    return Grammar(
+        r,
+        [
+            Production(r, ()),
+            Production(r, (r, a)),
+            Production(a, (b, c)),
+            Production(b, ()),
+            Production(b, (b, CharSet(frozenset("ab")))),
+            Production(c, ()),
+            Production(c, (c, CharSet(frozenset("ac")))),
+        ],
+    )
+
+
+class TestLinearWork:
+    """The compiled recognizer's deterministic work counter grows
+    linearly on the ambiguous star shape, and long inputs parse."""
+
+    def items(self, grammar, text):
+        from repro.languages.earley import items_created
+
+        before = items_created(grammar)
+        assert recognize(grammar, text)
+        return items_created(grammar) - before
+
+    def test_items_grow_linearly(self):
+        grammar = ambiguous_star_grammar()
+        small = self.items(grammar, "a" * 2000)
+        large = self.items(grammar, "a" * 4000)
+        assert 0 < large <= 2.2 * small
+
+    def test_long_input_parses_under_default_recursion_limit(self):
+        import sys
+
+        text = "a" * 10000
+        assert sys.getrecursionlimit() < len(text)
+        tree = parse(ambiguous_star_grammar(), text)
+        assert tree is not None
+        assert tree.text() == text
+        assert tree.size() > len(text)

@@ -50,6 +50,26 @@ def test_suite_trace_has_subject_shards_and_spans(suites):
     assert metrics["histograms"]["subject.seconds"]["count"] == 1
 
 
+def test_metric_derivation_steps_are_child_spans(suites):
+    _untraced, traced = suites
+    spans = [span for span in traced.telemetry["spans"] if span["shard"] == ""]
+    subject = [span for span in spans if span["name"] == "subject:sed"]
+    assert len(subject) == 1
+    children = [
+        span["name"] for span in spans if span["parent"] == subject[0]["id"]
+    ]
+    assert children == [
+        "derive.precision", "derive.recall", "derive.fuzz",
+        "derive.coverage", "derive.sample",
+    ]
+
+
+def test_earley_work_counter_is_recorded_when_traced(suites):
+    _untraced, traced = suites
+    counters = traced.telemetry["metrics"]["counters"]
+    assert counters["languages.earley.items"] > 0
+
+
 def test_suite_telemetry_round_trips(tmp_path, suites):
     _untraced, traced = suites
     path = tmp_path / "BENCH_suite.json"
